@@ -707,6 +707,8 @@ def iter_solver_models(
     if encoding.trivially_unsat:
         return
     if solver is None:
+        # reprolint: disable=R007 -- nobody observes this fallback's work;
+        # callers who want the counters pass their own solver.
         solver = DPLLSolver(encoding.clauses)
     while True:
         model = solver.solve()

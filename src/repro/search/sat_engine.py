@@ -73,15 +73,13 @@ class SATWorldSearch:
     constraint pre-evaluation of the other engines); the solver is created
     lazily per search.
 
-    Three engine options tune the generation-2 SAT stack, all reachable as
+    Two engine options tune the generation-2 SAT stack, both reachable as
     ``EngineConfig("sat", options={...})`` knobs:
 
     * ``cegar`` — encode lazily (no violation clauses up front) and refine
       with counter-example rounds: each candidate model is validated against
       the constraints and only the clauses it actually violates are added
       before re-solving (:class:`~repro.search.cnf_encoding.LazyViolationOracle`);
-    * ``learning`` — the solver's conflict-analysis scheme (``"first_uip"``
-      or ``"decision"``, see :class:`repro.reductions.dpll.DPLLSolver`);
     * ``component_counting`` — :meth:`count_worlds` splits the clause graph
       into connected components, counts each independently (with a
       fingerprint cache over isomorphic components) and multiplies, instead
@@ -97,7 +95,6 @@ class SATWorldSearch:
         *,
         checker: ConstraintChecker | None = None,
         cegar: bool = False,
-        learning: str = "first_uip",
         component_counting: bool = False,
     ) -> None:
         if adom is None:
@@ -110,7 +107,6 @@ class SATWorldSearch:
         self._constraints = tuple(constraints)
         self._adom = adom
         self._checker = checker
-        self._learning = learning
         self._component_counting = bool(component_counting)
         self._encoding: WorldEncoding = encode_world_search(
             cinstance, master, constraints, adom,
@@ -141,7 +137,7 @@ class SATWorldSearch:
         if self.stats.solver is None:
             self.stats.solver = SolverStats()
         clauses = (encoding or self._encoding).clauses
-        return DPLLSolver(clauses, learning=self._learning, stats=self.stats.solver)
+        return DPLLSolver(clauses, stats=self.stats.solver)
 
     def _world_facts(self, valuation: Valuation) -> dict[str, set[Row]]:
         """The facts of the candidate world a valuation grounds."""
@@ -460,7 +456,7 @@ class SATWorldSearch:
     ) -> DPLLSolver:
         if self.stats.solver is None:
             self.stats.solver = SolverStats()
-        return DPLLSolver(clauses, learning=self._learning, stats=self.stats.solver)
+        return DPLLSolver(clauses, stats=self.stats.solver)
 
 
 class IncrementalSATSession:
@@ -484,6 +480,13 @@ class IncrementalSATSession:
     live clause list plus the current assumptions as unit clauses (still
     skipping the re-encode, which dominates).
 
+    ``stats`` describes the most recent decision call (``has_world``,
+    ``search`` or ``count_worlds``): each call opens a fresh record whose
+    solver ledger is shared by the live solver and every throwaway solver
+    the call builds, so the ledger counts exactly the solver work of that
+    call, and summing the records of several calls never counts a call
+    twice.
+
     The session only absorbs updates that keep the encoding's fixed parts
     fixed: ground-tuple adds/drops under an unchanged active domain,
     variable set and finite-domain restriction map.  The facade checks those
@@ -499,23 +502,26 @@ class IncrementalSATSession:
         *,
         checker: ConstraintChecker | None = None,
         cegar: bool = False,
-        learning: str = "first_uip",
     ) -> None:
         self._cinstance = cinstance
         self._adom = adom
         self._variables = frozenset(cinstance.variables())
         self._variable_domains = dict(cinstance.variable_domains())
         self._cegar = bool(cegar)
-        self._learning = learning
         self._encoder = IncrementalEncoder(
             cinstance, master, constraints, adom,
             checker=checker,
             lazy_violations=self._cegar,
         )
-        self._solver = DPLLSolver(learning=learning)
+        ledger = SolverStats()
+        self._solver = DPLLSolver(stats=ledger)
+        # Whether the live solver has answered an existence check yet: the
+        # next one reports ``reused_solver``.  Tracked apart from the solver
+        # ledger, which also counts the throwaway solvers' work.
+        self._live_solver_used = False
         self._fed = 0
         self.stats = SATSearchStats(
-            encoding=self._encoder.encoding.stats, solver=self._solver.stats
+            encoding=self._encoder.encoding.stats, solver=ledger
         )
 
     @property
@@ -566,6 +572,17 @@ class IncrementalSATSession:
     # ------------------------------------------------------------------
     # decision surfaces (API parity with SATWorldSearch where it matters)
     # ------------------------------------------------------------------
+    def _start_run(self) -> SolverStats:
+        """Open the stats record of one decision call; return its ledger."""
+        ledger = SolverStats()
+        self.stats = SATSearchStats(
+            encoding=self._encoder.encoding.stats,
+            solver=ledger,
+            reused_solver=False,
+        )
+        self._solver.stats = ledger
+        return ledger
+
     def _feed_live_solver(self) -> None:
         clauses = self._encoder.encoding.clauses
         while self._fed < len(clauses):
@@ -590,9 +607,11 @@ class IncrementalSATSession:
         actually consulted: a trivially-unsat session answers from the
         encoder alone and performs no solver reuse to report.
         """
+        self._start_run()
         if self._encoder.encoding.trivially_unsat:
             return False
-        self.stats.reused_solver = self._solver.stats.solve_calls > 0
+        self.stats.reused_solver = self._live_solver_used
+        self._live_solver_used = True
         self._feed_live_solver()
         while True:
             model = self._solver.solve(self._encoder.assumptions())
@@ -610,23 +629,24 @@ class IncrementalSATSession:
             self._encoder.encoding.stats.cegar_rounds += 1
             self._feed_live_solver()
 
-    def _throwaway_solver(self) -> DPLLSolver:
+    def _throwaway_solver(self, ledger: SolverStats) -> DPLLSolver:
         """A fresh solver over the live clauses + assumptions as units.
 
         Enumeration must not touch the live solver: its blocking clauses are
-        sound only for the instance state they were generated under.
+        sound only for the instance state they were generated under.  The
+        solver counts into the call's ``ledger``.
         """
-        solver = DPLLSolver(self._encoder.encoding.clauses, learning=self._learning)
+        solver = DPLLSolver(self._encoder.encoding.clauses, stats=ledger)
         for literal in self._encoder.assumptions():
             solver.add_clause((literal,))
         return solver
 
-    def _session_models(self) -> Iterator[Valuation]:
+    def _session_models(self, ledger: SolverStats) -> Iterator[Valuation]:
         """Throwaway-solver enumeration with CEGAR validation when enabled."""
         encoding = self._encoder.encoding
         if encoding.trivially_unsat:
             return
-        solver = self._throwaway_solver()
+        solver = self._throwaway_solver(ledger)
         while True:
             model = solver.solve()
             if model is None:
@@ -647,9 +667,9 @@ class IncrementalSATSession:
 
     def search(self) -> Iterator[tuple[Valuation, GroundInstance]]:
         """Enumerate ``(µ, µ(T))`` for the *current* instance state."""
-        self.stats.reused_solver = False
+        ledger = self._start_run()
         cinstance = self._cinstance
-        for valuation in self._session_models():
+        for valuation in self._session_models(ledger):
             self.stats.worlds += 1
             yield valuation, cinstance.apply(valuation)
 
@@ -670,11 +690,11 @@ class IncrementalSATSession:
 
     def count_worlds(self) -> int:
         """Count distinct worlds natively (canonical forms, no instances)."""
-        self.stats.reused_solver = False
+        ledger = self._start_run()
         names = list(self._cinstance.schema.relation_names)
         rows = [(name, row) for name, _index, row in self._cinstance.rows()]
         seen: set[tuple[frozenset[Row], ...]] = set()
-        for valuation in self._session_models():
+        for valuation in self._session_models(ledger):
             self.stats.worlds += 1
             facts: dict[str, set[Row]] = {name: set() for name in names}
             for name, row in rows:

@@ -30,6 +30,7 @@ responsive); ``"inline"`` computes on the loop (tests, tiny workloads).
 from __future__ import annotations
 
 import asyncio
+import itertools
 import multiprocessing
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
@@ -38,6 +39,8 @@ from functools import partial
 from typing import Any, Mapping
 
 from repro.api import Database
+from repro.constraints.containment import ContainmentConstraint
+from repro.ctables.cinstance import CInstance
 from repro.exceptions import (
     InconsistentUpdateError,
     ReproError,
@@ -45,6 +48,7 @@ from repro.exceptions import (
     UpdateError,
 )
 from repro.incremental import MISS, RowSpec, UpdateResult
+from repro.relational.master import MasterData
 from repro.search.registry import EngineConfig
 from repro.service.fingerprint import canonical_fingerprint
 from repro.service.locks import ReadWriteLock
@@ -67,34 +71,44 @@ __all__ = ["DatabasePool", "SessionState"]
 
 @dataclass(frozen=True)
 class _ReplicaPayload:
-    """What a process-pool worker needs to rebuild a session replica."""
+    """What a process-pool worker needs to rebuild a session replica.
+
+    ``cinstance`` is the session's *current* c-instance: updates rebind the
+    facade's c-instance, so the session spec only holds the one the
+    session was created with.  ``serial`` tells apart two sessions that
+    carried the same name (dropped and created again) at the same version.
+    """
 
     name: str
+    serial: int
     version: int
-    spec: SessionSpec
+    cinstance: CInstance
+    master: MasterData
+    constraints: tuple[ContainmentConstraint, ...]
     engine: str | None
 
 
-# Per-worker replica cache: one facade per session, rebuilt when the parent's
-# session version moves (every update bumps it).  Keeping the replica alive
+# Per-worker replica cache: one facade per session name, rebuilt when the
+# parent's session serial or version moves (every update bumps the version).  Keeping the replica alive
 # across requests lets the worker reuse its checker, Adom and its *own*
 # decision cache for process-local repeats.
 # reprolint: disable=R005 -- deliberate per-process memo cache: each forked
 # worker keeps its own replicas; the parent never reads or depends on them.
-_REPLICAS: dict[str, tuple[int, Database]] = {}
+_REPLICAS: dict[str, tuple[tuple[int, int], Database]] = {}
 
 
 def _replica(payload: _ReplicaPayload) -> Database:
+    key = (payload.serial, payload.version)
     held = _REPLICAS.get(payload.name)
-    if held is not None and held[0] == payload.version:
+    if held is not None and held[0] == key:
         return held[1]
     db = Database(
-        payload.spec.cinstance,
-        payload.spec.master,
-        payload.spec.constraints,
+        payload.cinstance,
+        payload.master,
+        payload.constraints,
         engine=payload.engine,
     )
-    _REPLICAS[payload.name] = (payload.version, db)
+    _REPLICAS[payload.name] = (key, db)
     return db
 
 
@@ -117,6 +131,9 @@ class SessionState:
     engine: str | None = None
     lock: ReadWriteLock = field(default_factory=ReadWriteLock)
     version: int = 0
+    #: pool-unique creation number (a session re-created under the same
+    #: name gets a new one, so worker replicas of the old one go stale).
+    serial: int = 0
 
     def info(self) -> dict[str, Any]:
         """The JSON shape of ``GET /sessions/{name}``."""
@@ -162,6 +179,7 @@ class DatabasePool:
         self._request_timeout = request_timeout
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self._sessions: dict[str, SessionState] = {}
+        self._serials = itertools.count(1)
         self._singleflight = SingleFlight()
         self._executor: Executor | None = None
 
@@ -204,7 +222,13 @@ class DatabasePool:
         database = Database(
             spec.cinstance, spec.master, spec.constraints, engine=engine
         )
-        state = SessionState(name=name, spec=spec, database=database, engine=engine)
+        state = SessionState(
+            name=name,
+            spec=spec,
+            database=database,
+            engine=engine,
+            serial=next(self._serials),
+        )
         self._sessions[name] = state
         return state
 
@@ -312,8 +336,11 @@ class DatabasePool:
         else:
             payload = _ReplicaPayload(
                 name=state.name,
+                serial=state.serial,
                 version=state.version,
-                spec=state.spec,
+                cinstance=state.database.cinstance,
+                master=state.spec.master,
+                constraints=state.spec.constraints,
                 engine=state.engine,
             )
             call = partial(_process_decide, payload, request, engine)

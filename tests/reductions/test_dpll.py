@@ -95,10 +95,10 @@ _BATCHES = st.lists(
 )
 
 
-@given(_BATCHES, st.sampled_from(["first_uip", "decision"]))
+@given(_BATCHES)
 @settings(max_examples=120, deadline=None)
-def test_assumption_soundness_across_interleaved_adds(batches, learning):
-    solver = DPLLSolver(learning=learning)
+def test_assumption_soundness_across_interleaved_adds(batches):
+    solver = DPLLSolver()
     accumulated: list[list[int]] = []
     for clauses, assumptions in batches:
         for clause in clauses:
@@ -112,22 +112,6 @@ def test_assumption_soundness_across_interleaved_adds(batches, learning):
         if model is not None:
             assert _satisfies(accumulated, model)
             assert all(model[abs(lit)] == (lit > 0) for lit in assumptions)
-
-
-@given(_CLAUSES)
-@settings(max_examples=100, deadline=None)
-def test_first_uip_and_decision_learning_agree(clauses):
-    first_uip = DPLLSolver(clauses, learning="first_uip").solve()
-    decision = DPLLSolver(clauses, learning="decision").solve()
-    assert (first_uip is None) == (decision is None)
-    if first_uip is not None:
-        assert _satisfies(clauses, first_uip)
-        assert _satisfies(clauses, decision)
-
-
-def test_unknown_learning_scheme_rejected():
-    with pytest.raises(ReductionError):
-        DPLLSolver(learning="second_uip")
 
 
 @given(_CLAUSES, st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=4))
@@ -159,6 +143,193 @@ def test_projected_enumeration_tolerates_unseen_variables(clauses, projection):
         assert key not in restrictions, "projection yielded twice"
         restrictions.add(key)
     assert restrictions == expected_restrictions
+
+
+# ---------------------------------------------------------------------------
+# the permanent level-0 trail: random interleavings of clause adds, solves
+# under assumptions and projected enumerations on one solver, checked after
+# every step against exhaustive enumeration.  Units, duplicates and
+# tautologies are drawn directly; clauses true or all-false at level 0 arise
+# whenever an earlier unit (or a learned one) decides their literals, and an
+# enumeration leaves its blocking clauses behind, so later steps run on a
+# solver that is often refuted at level 0 for good.
+# ---------------------------------------------------------------------------
+_SMALL_LITERALS = st.integers(min_value=1, max_value=5).flatmap(
+    lambda v: st.sampled_from([v, -v])
+)
+_LEVEL0_CLAUSE = st.one_of(
+    st.lists(_SMALL_LITERALS, min_size=1, max_size=1),  # units
+    st.lists(_SMALL_LITERALS, min_size=1, max_size=4),  # duplicates allowed
+    _SMALL_LITERALS.map(lambda lit: [lit, -lit]),  # tautologies
+    _SMALL_LITERALS.map(lambda lit: [lit, lit, -lit, lit]),
+    st.just([]),
+)
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _LEVEL0_CLAUSE),
+        st.tuples(
+            st.just("solve"),
+            st.lists(_SMALL_LITERALS, max_size=3).map(
+                lambda lits: list({abs(lit): lit for lit in lits}.values())
+            ),
+        ),
+        st.tuples(
+            st.just("enumerate"),
+            st.lists(st.integers(min_value=1, max_value=6), max_size=4),
+        ),
+    ),
+    min_size=1,
+    max_size=14,
+)
+
+
+def _assignments(variables):
+    import itertools
+
+    for values in itertools.product((False, True), repeat=len(variables)):
+        yield dict(zip(variables, values))
+
+
+@given(_STEPS)
+@settings(max_examples=200, deadline=None)
+def test_level0_trail_across_interleaved_adds_solves_and_enumerations(steps):
+    solver = DPLLSolver()
+    clauses: list[list[int]] = []  # everything the solver holds, blocking too
+    mentioned: set[int] = set()
+    for kind, argument in steps:
+        if kind == "add":
+            solver.add_clause(argument)
+            clauses.append(list(argument))
+            mentioned |= {abs(lit) for lit in argument}
+        elif kind == "solve":
+            mentioned |= {abs(lit) for lit in argument}
+            model = solver.solve(argument)
+            expected = brute_force_satisfiable(
+                clauses + [[lit] for lit in argument]
+            )
+            assert (model is not None) == expected
+            if model is not None:
+                assert set(model) == mentioned
+                assert _satisfies(clauses, model)
+                assert all(model[abs(lit)] == (lit > 0) for lit in argument)
+        else:
+            scope = sorted(set(argument) & mentioned)
+            expected_restrictions = {
+                tuple(full[var] for var in scope)
+                for full in _assignments(sorted(mentioned))
+                if _satisfies(clauses, full)
+            }
+            restrictions = set()
+            for model in solver.enumerate_models(project_onto=argument):
+                assert set(model) == mentioned
+                assert _satisfies(clauses, model)
+                key = tuple(model[var] for var in scope)
+                assert key not in restrictions, "projection yielded twice"
+                restrictions.add(key)
+                if scope:
+                    clauses.append([-var if model[var] else var for var in scope])
+            assert restrictions == expected_restrictions
+        assert solver.variables == frozenset(mentioned)
+    # A closing full enumeration: a solver that wrongly fixed a literal at
+    # level 0 can still satisfy every clause, but it loses models.
+    expected_models = sum(
+        _satisfies(clauses, full) for full in _assignments(sorted(mentioned))
+    )
+    assert len(list(solver.enumerate_models())) == expected_models
+
+
+class TestLevelZeroTrail:
+    def test_level0_conflict_is_permanent(self):
+        # No clause is unit or false when added; the conflict only surfaces
+        # when propagation runs x1 -> x2 -> x3 -> not x1 at level 0.
+        solver = DPLLSolver([[-1, 2], [-2, 3], [-3, -1]])
+        assert solver.solve() is not None
+        solver.add_clause([1])
+        assert solver.solve() is None
+        solver.add_clause([4, 5])
+        assert solver.solve() is None
+        assert solver.solve([4]) is None
+        assert list(solver.enumerate_models()) == []
+
+    def test_clause_false_at_level0_is_permanent(self):
+        solver = DPLLSolver([[1], [2]])
+        assert solver.solve() == {1: True, 2: True}
+        solver.add_clause([-1, -2, -2])  # every literal false at level 0
+        assert solver.solve() is None
+        assert solver.solve([3]) is None
+
+    def test_clause_true_at_level0_is_dropped(self):
+        solver = DPLLSolver([[1]])
+        solver.add_clause([1, 2, 3])
+        assert solver.num_clauses == 0
+        model = solver.solve()
+        assert model is not None and set(model) == {1, 2, 3}
+
+    def test_unit_added_between_solves_holds_in_every_later_model(self):
+        solver = DPLLSolver([[1, 2], [-1, 3]])
+        assert solver.solve() is not None
+        solver.add_clause([-3])
+        for assumptions in ((), (2,), (-3,)):
+            model = solver.solve(assumptions)
+            assert model is not None
+            assert model[3] is False and model[1] is False and model[2] is True
+        assert solver.solve([1]) is None
+        assert solver.solve() is not None  # UNSAT under [1] only
+
+    def test_sparse_identifiers_leave_the_gaps_alone(self):
+        solver = DPLLSolver([[3, 1000]])
+        assert solver.variables == frozenset({3, 1000})
+        models = list(solver.enumerate_models())
+        assert len(models) == 3
+        assert all(set(model) == {3, 1000} for model in models)
+        # One decision per mentioned variable at most per model: nothing in
+        # 1..999 is ever branched on.
+        assert solver.stats.decisions <= 2 * len(models)
+        assert solver.variables == frozenset({3, 1000})
+
+    def test_activity_rescales_keep_the_order_heap_whole(self, monkeypatch):
+        # A tiny rescale threshold makes every few bumps rescale all
+        # activities and rebuild the order heap mid-analysis; no variable
+        # may drop out of the heap (it would never be branched on).
+        from repro.reductions import dpll
+
+        monkeypatch.setattr(dpll, "_ACTIVITY_RESCALE", 4.0)
+        solver = DPLLSolver(_pigeonhole(6, 5))
+        assert solver.solve() is None
+        solver = DPLLSolver(_pigeonhole(5, 5))
+        model = solver.solve()
+        assert model is not None and set(model) == set(range(1, 26))
+        assert _satisfies(_pigeonhole(5, 5), model)
+        rng = random.Random(5)
+        for _ in range(40):
+            clauses = [
+                [rng.choice([v, -v]) for v in rng.sample(range(1, 9), 3)]
+                for _ in range(rng.randint(10, 40))
+            ]
+            count = sum(
+                _satisfies(clauses, full) for full in _assignments(list(range(1, 9)))
+            )
+            models = list(DPLLSolver(clauses).enumerate_models())
+            assert len(models) == count
+            assert all(_satisfies(clauses, model) for model in models)
+
+    def test_order_heap_stays_bounded(self):
+        # Bumps leave stale heap entries behind; compaction keeps the heap
+        # linear in the variable count over a long enumeration.
+        solver = DPLLSolver(_pigeonhole(6, 6))
+        models = 0
+        for _model in solver.enumerate_models():
+            models += 1
+            assert len(solver._heap) <= 2 * len(solver.variables) + 64
+        assert models == 720
+        assert solver.stats.conflicts > 0
+
+    def test_models_are_in_trail_order(self):
+        # The units are asserted as they are added; their consequence x2 is
+        # propagated when solve() runs.
+        solver = DPLLSolver([[-5, 2], [5], [7]])
+        model = solver.solve()
+        assert list(model) == [5, 7, 2]
 
 
 # ---------------------------------------------------------------------------

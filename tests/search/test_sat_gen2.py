@@ -21,7 +21,6 @@ import pytest
 
 from repro.api import Database, EngineConfig
 from repro.ctables.cinstance import cinstance
-from repro.exceptions import ReductionError
 from repro.queries.terms import var
 from repro.relational.master import empty_master
 from repro.relational.schema import database_schema, schema
@@ -109,6 +108,59 @@ class TestReusedSolverFlag:
         session = IncrementalSATSession(T, EMPTY_MASTER, [forbid_all], adom)
         assert session.has_world() is False
         assert session.stats.reused_solver is False
+
+
+class TestSessionLedger:
+    """The session's solver ledger counts every solve of the call it reports."""
+
+    @staticmethod
+    def _counting_solves(monkeypatch):
+        from repro.reductions.dpll import DPLLSolver
+
+        calls = []
+        original = DPLLSolver.solve
+
+        def solve(solver, *args, **kwargs):
+            calls.append(solver)
+            return original(solver, *args, **kwargs)
+
+        monkeypatch.setattr(DPLLSolver, "solve", solve)
+        return calls
+
+    def test_count_path_ledger_matches_real_solve_calls(self, monkeypatch):
+        # The throwaway enumeration solver used to count into a private
+        # ledger, so a session count reported zero solver work.
+        calls = self._counting_solves(monkeypatch)
+        workload = wide_pool_workload(rows=3, values_per_key=3)
+        session = _session(workload)
+        count = session.count_worlds()
+        assert count > 1
+        assert len(calls) > 1
+        assert session.stats.solver.solve_calls == len(calls)
+
+    def test_each_call_reports_only_its_own_work(self, monkeypatch):
+        calls = self._counting_solves(monkeypatch)
+        workload = inequality_chain_workload(3, close_cycle=False)
+        session = _session(workload)
+        reported = 0
+        for call in (session.has_world, session.count_worlds, session.has_world):
+            before = len(calls)
+            call()
+            assert session.stats.solver.solve_calls == len(calls) - before
+            reported += session.stats.solver.solve_calls
+        assert reported == len(calls)
+
+    def test_count_first_does_not_claim_reuse(self):
+        # The reuse flag follows the live solver alone: a count that ran
+        # first (on a throwaway solver) leaves it unused.
+        workload = inequality_chain_workload(3, close_cycle=False)
+        session = _session(workload)
+        session.count_worlds()
+        assert session.stats.solver.solve_calls > 0
+        assert session.has_world()
+        assert session.stats.reused_solver is False
+        assert session.has_world()
+        assert session.stats.reused_solver is True
 
 
 # ---------------------------------------------------------------------------
@@ -248,19 +300,11 @@ class TestEngineConfigOptions:
         assert decision.stats.components == 2
         assert decision.stats.cegar_rounds is not None
 
-    def test_decision_learning_option_round_trips(self):
+    def test_learning_option_is_unknown(self):
+        # One conflict-analysis scheme remains; the old ``learning`` knob is
+        # rejected like any other option the SAT engine does not take.
         workload = inequality_chain_workload(3, close_cycle=True)
         db = Database(workload.cinstance, workload.master, workload.constraints)
-        for learning in ("first_uip", "decision"):
-            config = EngineConfig("sat", options={"learning": learning})
-            assert db.is_consistent(engine=config).holds is False
-
-    def test_invalid_learning_option_raises(self):
-        workload = inequality_chain_workload(2, close_cycle=False)
-        with pytest.raises(ReductionError):
-            SATWorldSearch(
-                workload.cinstance,
-                workload.master,
-                workload.constraints,
-                learning="bogus",
-            ).has_world()
+        config = EngineConfig("sat", options={"learning": "first_uip"})
+        with pytest.raises(TypeError):
+            db.is_consistent(engine=config)

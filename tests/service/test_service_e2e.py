@@ -409,3 +409,50 @@ def test_process_executor_smoke():
         after = client.decide("demo", "consistency")
         assert after["cache_hit"] is False
         assert after["result"]["holds"] is True
+
+
+def test_process_replicas_answer_on_the_updated_cinstance():
+    # Worker replicas used to be rebuilt from the session's original spec,
+    # so a cache-missing decide after an update was answered on the
+    # pre-update c-instance.  The added row enlarges the active domain, so
+    # the world count moves (290 -> 362) and a stale replica shows.
+    from repro.api import Database
+    from repro.service.plugins import get_service_plugin
+
+    row = ["915-15-400", "Ann", "EDI", 2001]
+    spec = get_service_plugin("workload", "patients")()
+    embedded = Database(spec.cinstance, spec.master, spec.constraints)
+    before = embedded.count().value
+    embedded.update(add_rows={"MVisit": [row]})
+    expected = embedded.count().value
+    assert expected != before
+
+    with make_service(executor="process", executor_workers=1) as svc:
+        client = ServiceClient(svc.base_url)
+        client.create_session("demo", "patients")
+        assert client.decide("demo", "count")["result"]["value"] == before
+        client.update("demo", add_rows={"MVisit": [row]})
+        after = client.decide("demo", "count")
+        assert after["cache_hit"] is False
+        assert after["result"]["value"] == expected
+
+
+def test_process_replicas_of_a_recreated_session_are_rebuilt():
+    # Replicas were keyed by session name and version alone, so a session
+    # dropped and created again under its old name (version 0 again) was
+    # answered by the old session's replica.
+    with make_service() as inline_svc:
+        client = ServiceClient(inline_svc.base_url)
+        client.create_session("demo", "wide")
+        expected = client.decide("demo", "count")["result"]["value"]
+
+    with make_service(executor="process", executor_workers=1) as svc:
+        client = ServiceClient(svc.base_url)
+        client.create_session("demo", "patients")
+        first = client.decide("demo", "count")["result"]["value"]
+        assert first != expected
+        client.drop_session("demo")
+        client.create_session("demo", "wide")
+        again = client.decide("demo", "count")
+        assert again["cache_hit"] is False
+        assert again["result"]["value"] == expected

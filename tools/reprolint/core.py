@@ -14,7 +14,9 @@ Fan–Geerts deciders rest on:
 * work submitted to the parallel process pool captures no module-level
   mutable state (R005);
 * stats ledgers accumulate in place and are never rebound to another
-  object's ``.stats`` outside ``__init__`` (R006).
+  object's ``.stats`` outside ``__init__`` (R006);
+* every ``DPLLSolver`` the search layer builds counts into a ledger its
+  owner reports (``stats=``, R007).
 
 A rule is a :class:`Rule` subclass registered with :func:`register_rule`.
 Each rule carries its own *fixture snippets* (``must_flag`` / ``must_pass``)

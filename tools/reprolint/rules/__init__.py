@@ -6,5 +6,6 @@ from tools.reprolint.rules import (  # noqa: F401  (imported for registration)
     fork_safety,
     registry_contract,
     session_balance,
+    solver_ledger,
     stats_rebinding,
 )
